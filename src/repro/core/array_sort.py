@@ -270,9 +270,6 @@ class GpuArraySort:
                 batch, inplace=inplace, descending=descending
             )
 
-        # Plan before the work copy: a process-pool plan wants the copy
-        # staged straight into a shared-memory slab so the engine can
-        # skip its own staging memcpy (see ProcessPoolEngine).
         plan = None
         if self._planner is not None and self.engine == "vectorized" and self.sampler is None:
             plan = self._planner.plan(
@@ -283,10 +280,7 @@ class GpuArraySort:
         if inplace:
             work = batch
         elif self.workspace is not None:
-            if plan is not None and plan.engine == "process":
-                work = self.workspace.get_shared("work", batch.shape, batch.dtype)
-            else:
-                work = self.workspace.get("work", batch.shape, batch.dtype)
+            work = self.workspace.get("work", batch.shape, batch.dtype)
             np.copyto(work, batch)
             scratch = True
         else:

@@ -13,8 +13,7 @@ then verifies against real allocation behaviour:
   actually costs the hot path — the streaming staging copy, the
   sorter's :class:`~repro.core.workspace.ScratchArena` work buffer,
   phase-1 sample/splitter staging, fused-path metadata, and the
-  per-engine extras (a process-pool plan stages another full copy into
-  shared memory; the radix engine double-buffers its key space);
+  per-engine extras (the radix engine double-buffers its key space);
 * :func:`plan_budget` derives the chunk schedule: the largest chunk row
   count whose modeled working set fits the budget, and how many chunks
   that takes for the whole batch.
@@ -57,8 +56,6 @@ SAFETY_FACTOR = 1.25
 #:
 #: * ``serial`` / ``thread`` — the fused row sort works in place and
 #:   thread shards share the caller's storage: no extra copy;
-#: * ``process`` — :class:`~repro.parallel.executors.ProcessPoolEngine`
-#:   stages the batch into a shared-memory slab (one more payload);
 #: * ``radix`` — the LSD path double-buffers the sortable-key space
 #:   (two more payloads in the worst ``strategy="lsd"`` case);
 #: * ``auto`` — the planner may pick any engine per chunk, so the plan
@@ -66,7 +63,6 @@ SAFETY_FACTOR = 1.25
 ENGINE_EXTRA_COPIES = {
     "serial": 0.0,
     "thread": 0.0,
-    "process": 1.0,
     "radix": 2.0,
 }
 

@@ -115,22 +115,19 @@ def sort_rows_inplace(
 
 def _sort_shard_shm(
     shm_name: str,
-    offset: int,
     shape: Tuple[int, int],
     dtype_str: str,
     start: int,
     stop: int,
     config: SortConfig,
 ) -> Tuple[int, np.ndarray, np.ndarray]:
-    """Process-pool worker: attach the shared block, sort rows [start, stop).
+    """Process-pool worker: attach the staging block, sort rows [start, stop).
 
-    The shard is a zero-copy view into shared memory — either the
-    engine's own staging buffer (``offset=0``) or, when the caller's
-    batch already lives in an arena slab, that slab at ``offset`` bytes.
-    Only the small ``sizes``/``offsets`` metadata rides back through the
-    result pickle.
+    The shard is a zero-copy view into the engine's shared staging
+    buffer; only the small ``sizes``/``offsets`` metadata rides back
+    through the result pickle.
     """
-    shm, buf = attach_shm_view(shm_name, shape, dtype_str, offset)
+    shm, buf = attach_shm_view(shm_name, shape, dtype_str)
     try:
         sizes, offsets = sort_rows_inplace(buf[start:stop], config)
         return start, sizes, offsets
@@ -268,6 +265,9 @@ class ProcessPoolEngine(_ShardedEngineBase):
     failure, an unpicklable config — the shared buffer is discarded and
     the caller's untouched array is sorted serially instead: crashes
     degrade throughput, never correctness.
+
+    Selected only explicitly (``parallel="process"`` or an instance);
+    the adaptive planner chooses among in-process engines.
     """
 
     name = "process"
@@ -296,83 +296,40 @@ class ProcessPoolEngine(_ShardedEngineBase):
     ) -> SortResult:
         from multiprocessing import shared_memory
 
-        from ..core.workspace import find_shared_slab
-
-        # Zero-copy fast path: a batch that already lives in a registered
-        # shared-memory slab (a ScratchArena `get_shared` buffer, the way
-        # a planner-driven sorter stages its work copy) needs no staging
-        # memcpy at all — workers attach the existing segment at the
-        # slab offset and sort the caller's rows directly.  Note the
-        # crash-fallback consequence: the caller's buffer may then hold
-        # partially sorted rows when a worker dies.  In-place introsort
-        # only ever *swaps* within a row, so every row remains a
-        # permutation of its input and the serial fallback still
-        # produces a correctly sorted batch (with metadata derived from
-        # the fallback run's own splitters).
-        slab = find_shared_slab(work)
-        if slab is not None:
-            shm_name, offset = slab
-            return self._submit_shards(
-                work, work, shm_name, offset, config, plan, t0,
-                zero_copy=True,
-            )
-
         shm = shared_memory.SharedMemory(create=True, size=int(work.nbytes))
         try:
             staged = np.ndarray(work.shape, dtype=work.dtype, buffer=shm.buf)
             staged[:] = work
-            return self._submit_shards(
-                work, staged, shm.name, 0, config, plan, t0,
-                zero_copy=False,
-            )
+            pieces: List[Tuple[int, np.ndarray, np.ndarray]] = []
+            with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(self.workers, len(plan))
+            ) as pool:
+                futures = [
+                    pool.submit(
+                        _sort_shard_shm,
+                        shm.name,
+                        work.shape,
+                        work.dtype.str,
+                        shard.start,
+                        shard.stop,
+                        config,
+                    )
+                    for shard in plan
+                ]
+                for future in concurrent.futures.as_completed(futures):
+                    pieces.append(future.result())
+            # All shards verified done: commit the sorted staging buffer.
+            work[:] = staged
         finally:
             shm.close()
             try:
                 shm.unlink()
             except FileNotFoundError:  # pragma: no cover - already reaped
                 pass
-
-    def _submit_shards(
-        self,
-        work: np.ndarray,
-        staged: np.ndarray,
-        shm_name: str,
-        offset: int,
-        config: SortConfig,
-        plan: ShardPlan,
-        t0: float,
-        *,
-        zero_copy: bool,
-    ) -> SortResult:
-        pieces: List[Tuple[int, np.ndarray, np.ndarray]] = []
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(self.workers, len(plan))
-        ) as pool:
-            futures = [
-                pool.submit(
-                    _sort_shard_shm,
-                    shm_name,
-                    offset,
-                    work.shape,
-                    work.dtype.str,
-                    shard.start,
-                    shard.stop,
-                    config,
-                )
-                for shard in plan
-            ]
-            for future in concurrent.futures.as_completed(futures):
-                pieces.append(future.result())
-        # All shards verified done: commit the sorted staging buffer
-        # (the zero-copy path sorted the caller's slab in place).
-        if not zero_copy:
-            work[:] = staged
-        result = _assemble(
+        return _assemble(
             work, pieces, time.perf_counter() - t0,
             engine_name=self.name, shards=len(plan), workers=self.workers,
         )
-        result.parallel_info["zero_copy_shm"] = zero_copy
-        return result
 
 
 _ENGINES = {

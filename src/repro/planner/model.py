@@ -18,8 +18,6 @@ Terms priced per candidate:
   in-place row sort + metadata recovery (batched binary search);
 * ``thread``  — serial work divided by the measured effective
   parallelism, plus pool construction and per-shard dispatch;
-* ``process`` — thread-shaped compute plus two full staging memcpys
-  (in and back) and pool spawn cost;
 * ``radix``   — work copy + flat row sort with *no* phase-1 or metadata
   terms (the non-comparison engine, :mod:`repro.core.radix`), priced as
   the cheaper of the compiled in-place sort (``N·n·log n`` comparisons)
@@ -47,8 +45,9 @@ from ..core.config import DEFAULT_CONFIG, SortConfig
 
 __all__ = ["HostProfile", "DEFAULT_PROFILE", "predict_ms", "ENGINE_NAMES"]
 
-#: Engines the planner may choose between.
-ENGINE_NAMES = ("serial", "thread", "process", "radix")
+#: Engines the planner may choose between.  All run in the caller's
+#: process and sort the batch in its own memory.
+ENGINE_NAMES = ("serial", "thread", "radix")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,10 +75,6 @@ class HostProfile:
     thread_task_us: float = 60.0
     #: µs to construct/tear down one ThreadPoolExecutor.
     thread_pool_us: float = 250.0
-    #: ms to spin up a process pool (fork/spawn + import).
-    process_spawn_ms: float = 120.0
-    #: ms per worker added to the spawn cost.
-    process_per_worker_ms: float = 25.0
     #: ns per element per digit pass: one interpreted LSD radix pass
     #: (histogram + scan + stable scatter).  Deliberately large by
     #: default — on a NumPy host each pass materializes several
@@ -117,8 +112,6 @@ def _serial_ms(
     row_len: int,
     dtype: np.dtype,
     config: SortConfig,
-    *,
-    include_copy: bool = True,
 ) -> float:
     """Model of the fused serial pipeline over ``num_rows`` rows."""
     n = max(1, row_len)
@@ -127,9 +120,7 @@ def _serial_ms(
     scale = _dtype_scale(dtype)
     itemsize = np.dtype(dtype).itemsize
 
-    copy_ns = (
-        num_rows * n * itemsize * profile.copy_ns_per_byte if include_copy else 0.0
-    )
+    copy_ns = num_rows * n * itemsize * profile.copy_ns_per_byte
     # Phase 1: strided gather + in-place sample sort + splitter pick.
     phase1_ns = num_rows * (
         s * profile.gather_ns
@@ -190,27 +181,12 @@ def predict_ms(
     if engine == "radix":
         return _radix_ms(profile, num_rows, row_len, dtype)
     serial = _serial_ms(profile, num_rows, row_len, dtype, config)
-    if engine == "serial" or shards <= 1 or workers <= 1:
-        overhead = 0.0
-        if engine == "thread":
-            overhead = profile.thread_pool_us / 1e3
-        elif engine == "process":
-            overhead = profile.process_spawn_ms
-        return serial + overhead
+    if engine == "serial":
+        return serial
+    pool_ms = profile.thread_pool_us / 1e3
+    if shards <= 1 or workers <= 1:
+        return serial + pool_ms
 
     concurrency = min(workers, shards, max(1, profile.cpu_count))
     speedup = max(1.0, concurrency * profile.thread_efficiency)
-    compute = _serial_ms(
-        profile, num_rows, row_len, dtype, config, include_copy=(engine != "process")
-    )
-    parallel = compute / speedup
-    if engine == "thread":
-        return (
-            parallel
-            + profile.thread_pool_us / 1e3
-            + shards * profile.thread_task_us / 1e3
-        )
-    # Process pool: staging copy in + copy back + spawn.
-    staging_ms = 2 * num_rows * row_len * dtype.itemsize * profile.copy_ns_per_byte / 1e6
-    spawn_ms = profile.process_spawn_ms + workers * profile.process_per_worker_ms
-    return parallel + staging_ms + spawn_ms
+    return serial / speedup + pool_ms + shards * profile.thread_task_us / 1e3

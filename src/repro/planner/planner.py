@@ -8,9 +8,10 @@ sampling/partition parameters per input shape, the planner chooses the
 
 1.  **Model seed** — a calibrated host cost model
     (:mod:`repro.planner.model`) prices each candidate (serial-fused,
-    thread-sharded, process-sharded, flat-radix — see
+    thread-sharded, flat-radix — see
     :data:`~repro.planner.model.ENGINE_NAMES`) for the batch's
-    ``(N, n, dtype)``.
+    ``(N, n, dtype)``.  Every candidate runs in-process and sorts the
+    batch in the caller's memory, as GPU-ArraySort sorts in place.
 2.  **Guarded exploration** — candidates are tried once each, cheapest
     predicted first, skipping any predicted worse than
     ``explore_factor``× the best (no point timing a plan the model says
@@ -65,8 +66,8 @@ class ExecutionPlan:
     """One dispatch decision: how to sort the next batch."""
 
     #: One of :data:`~repro.planner.model.ENGINE_NAMES`: ``"serial"``
-    #: (fused vectorized path), ``"thread"``, ``"process"``, or
-    #: ``"radix"`` (flat non-comparison row sort, no bucket metadata).
+    #: (fused vectorized path), ``"thread"``, or ``"radix"`` (flat
+    #: non-comparison row sort, no bucket metadata).
     engine: str
     #: Worker count for the sharded engines (1 for serial).
     workers: int = 1
@@ -118,19 +119,18 @@ class _PlannerBase:
 
         ``None`` for serial and radix plans — both run inside the
         caller (serial keeps full phase-1 diagnostics; radix is the
-        sorter's own flat row-sort path).  Thread/process engines are
-        constructed once per (engine, workers) and reused, so the
+        sorter's own flat row-sort path).  Thread engines are
+        constructed once per (workers, fan-out guard) and reused, so the
         planner adds no per-batch object churn.
         """
         if plan.engine in ("serial", "radix"):
             return None
-        key = (plan.engine, plan.workers, plan.min_rows_per_worker)
+        key = (plan.workers, plan.min_rows_per_worker)
         engine = self._engines.get(key)
         if engine is None:
-            from ..parallel.executors import ProcessPoolEngine, ThreadPoolEngine
+            from ..parallel.executors import ThreadPoolEngine
 
-            cls = ThreadPoolEngine if plan.engine == "thread" else ProcessPoolEngine
-            engine = cls(
+            engine = ThreadPoolEngine(
                 workers=plan.workers,
                 min_rows_per_worker=plan.min_rows_per_worker,
             )
@@ -266,25 +266,24 @@ class ExecutionPlanner(_PlannerBase):
             )
         )
         if shards > 1:
-            for engine in ("thread", "process"):
-                plans.append(
-                    ExecutionPlan(
-                        engine=engine,
+            plans.append(
+                ExecutionPlan(
+                    engine="thread",
+                    workers=workers,
+                    predicted_ms=predict_ms(
+                        profile,
+                        "thread",
+                        num_rows,
+                        row_len,
+                        dtype,
                         workers=workers,
-                        predicted_ms=predict_ms(
-                            profile,
-                            engine,
-                            num_rows,
-                            row_len,
-                            dtype,
-                            workers=workers,
-                            shards=shards,
-                            config=config,
-                        ),
-                        shape_key=key,
-                        min_rows_per_worker=self.min_rows_per_worker,
-                    )
+                        shards=shards,
+                        config=config,
+                    ),
+                    shape_key=key,
+                    min_rows_per_worker=self.min_rows_per_worker,
                 )
+            )
         return plans
 
     def plan(
@@ -374,7 +373,6 @@ class StaticPlanner(_PlannerBase):
         "fused": "serial",
         "thread": "thread",
         "sharded": "thread",
-        "process": "process",
         "radix": "radix",
     }
 
@@ -448,7 +446,7 @@ def resolve_planner(spec, *, workers: Optional[int] = None):
 
     ``None`` means no planner (legacy dispatch); ``"auto"`` the shared
     adaptive planner; any :attr:`StaticPlanner.MODES` name (``"fused"``/
-    ``"serial"``/``"sharded"``/``"thread"``/``"process"``/``"radix"``)
+    ``"serial"``/``"sharded"``/``"thread"``/``"radix"``)
     a :class:`StaticPlanner`; an object with a ``plan`` method passes
     through.
     """

@@ -175,7 +175,7 @@ class ServiceStats:
     #: (``shape_class_key`` -> engine -> times chosen), from the
     #: backend planner's :meth:`~repro.planner.planner._PlannerBase.plan_counts`.
     #: Empty when the backend has no planner.  This is how live traffic
-    #: shows *which* engine (serial/thread/process/radix) each batch
+    #: shows *which* engine (serial/thread/radix) each batch
     #: shape actually dispatches to.
     planner_engine_counts: Dict[str, Dict[str, int]] = dataclasses.field(
         default_factory=dict

@@ -44,9 +44,7 @@ class TestRunGrid:
 
     def test_planner_column(self, smoke_report):
         for cell in smoke_report["results"]:
-            assert cell["planner_engine"] in (
-                "serial", "thread", "process", "radix"
-            )
+            assert cell["planner_engine"] in ("serial", "thread", "radix")
             assert cell["planner_vs_best_static"] > 0
         assert (
             smoke_report["speedups"]["planner_vs_best_static_max"]

@@ -1,15 +1,10 @@
-"""Unit tests for repro.core.workspace (ScratchArena + shared slabs)."""
+"""Unit tests for repro.core.workspace (ScratchArena)."""
 
 import numpy as np
 import pytest
 
 from repro.core import GpuArraySort, StreamingSorter
-from repro.core.workspace import (
-    ScratchArena,
-    find_shared_slab,
-    register_shared_slab,
-    unregister_shared_slab,
-)
+from repro.core.workspace import ScratchArena
 
 
 class TestScratchArena:
@@ -178,47 +173,6 @@ class TestScratchArena:
         assert "ok" in outcomes  # gets before the close succeeded
 
 
-class TestSharedSlabs:
-    def test_shared_slab_is_discoverable(self):
-        with ScratchArena() as arena:
-            slab = arena.get_shared("work", (16, 8), np.float32)
-            found = find_shared_slab(slab)
-            assert found is not None
-            name, offset = found
-            assert offset == 0
-            # A contiguous prefix view of the slab is recognized too.
-            assert find_shared_slab(slab[:4]) == (name, 0)
-            # ... at the right offset when it doesn't start at byte 0.
-            assert find_shared_slab(slab[2:]) == (name, 2 * 8 * 4)
-
-    def test_heap_arrays_are_not_slabs(self):
-        assert find_shared_slab(np.zeros((4, 4), np.float32)) is None
-
-    def test_noncontiguous_views_are_not_slabs(self):
-        with ScratchArena() as arena:
-            slab = arena.get_shared("work", (16, 8), np.float32)
-            assert find_shared_slab(slab[:, ::2]) is None
-
-    def test_close_unregisters(self):
-        arena = ScratchArena()
-        slab = arena.get_shared("work", (4, 4), np.float32)
-        shape, dtype = slab.shape, slab.dtype
-        probe = np.zeros(shape, dtype)
-        assert find_shared_slab(slab) is not None
-        arena.close()
-        assert find_shared_slab(probe) is None
-
-    def test_register_unregister_round_trip(self):
-        arr = np.zeros(16, np.uint8)
-        register_shared_slab("test-slab", arr, None)
-        try:
-            assert find_shared_slab(arr) == ("test-slab", 0)
-        finally:
-            unregister_shared_slab("test-slab")
-        assert find_shared_slab(arr) is None
-        unregister_shared_slab("test-slab")  # idempotent
-
-
 class TestSorterArenaReuse:
     """Satellite: steady-state sorts reuse the arena, zero new allocations."""
 
@@ -312,31 +266,3 @@ class TestStreamingArenaReuse:
         assert sorter.emitted_batch_ids[0] == 0
         merged = np.vstack(sorter.results)
         assert np.all(np.diff(merged, axis=1) >= 0)
-
-
-class TestProcessZeroCopy:
-    """Satellite: arena shared slabs skip the ProcessPoolEngine staging copy."""
-
-    def test_shared_slab_batch_dispatches_zero_copy(self, rng):
-        from repro.planner import StaticPlanner
-
-        planner = StaticPlanner("process", workers=2, min_rows_per_worker=1)
-        sorter = GpuArraySort(planner=planner)
-        batch = rng.uniform(0, 1e6, (240, 80)).astype(np.float32)
-        result = sorter.sort(batch)
-        assert np.array_equal(result.batch, np.sort(batch, axis=1))
-        info = result.parallel_info
-        assert info["engine"] == "process"
-        assert info["zero_copy_shm"] is True
-        assert not info["fell_back_to_serial"]
-
-    def test_heap_batch_still_stages(self, rng):
-        from repro.parallel import ProcessPoolEngine
-
-        engine = ProcessPoolEngine(
-            workers=2, min_rows_per_shard=16, min_rows_per_worker=1
-        )
-        batch = rng.uniform(0, 1e6, (120, 60)).astype(np.float32)
-        result = GpuArraySort(parallel=engine).sort(batch)
-        assert np.array_equal(result.batch, np.sort(batch, axis=1))
-        assert result.parallel_info["zero_copy_shm"] is False

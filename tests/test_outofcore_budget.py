@@ -60,14 +60,27 @@ class TestWorkingSetModel:
         assert costs[0] > 0
 
     def test_engine_ordering(self):
-        """serial/thread < process < radix <= auto (worst case)."""
+        """serial/thread < radix <= auto (worst case)."""
         per = {engine: working_set_bytes_per_row(1000, np.float64,
                                                  engine=engine)
                for engine in ENGINE_EXTRA_COPIES}
         per["auto"] = working_set_bytes_per_row(1000, np.float64)
         assert per["serial"] == per["thread"]
-        assert per["serial"] < per["process"] < per["radix"]
+        assert per["serial"] < per["radix"]
         assert per["auto"] == max(per.values())
+
+    def test_auto_budgets_the_radix_worst_case(self):
+        # The planner's candidates are serial/thread/radix, so "auto"
+        # must still budget radix's 2.0 extra payloads — the 320 MB f64
+        # file under 32M keeps its 51-chunk schedule.
+        assert set(ENGINE_EXTRA_COPIES) == {"serial", "thread", "radix"}
+        assert ENGINE_EXTRA_COPIES["radix"] == 2.0
+        assert working_set_bytes_per_row(1000, np.float64) == \
+            working_set_bytes_per_row(1000, np.float64, engine="radix")
+        plan = plan_budget(40_000, 1000, np.float64, "32M")
+        assert (plan.chunk_rows, plan.num_chunks) == (788, 51)
+        with pytest.raises(BudgetError):
+            working_set_bytes_per_row(1000, np.float64, engine="process")
 
     def test_dtype_scales_payload(self):
         f32 = working_set_bytes_per_row(1000, np.float32)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import GpuArraySort, SortConfig
+from repro.core import GpuArraySort
 from repro.parallel import (
     ProcessPoolEngine,
     SerialEngine,
@@ -251,84 +251,3 @@ class TestAttachShmView:
             del base
             owner.close()
             owner.unlink()
-
-
-class TestZeroCopyShmCrashFallback:
-    """Crash fallback while the batch lives in an arena shared-memory
-    slab — the ``zero_copy_shm`` path, where a dying worker *has* been
-    mutating the caller's buffer in place."""
-
-    def _slab_batch(self, rng, arena, rows=120, row_len=60):
-        from repro.core.workspace import find_shared_slab
-
-        view = arena.get_shared("work", (rows, row_len), np.float32)
-        view[:] = rng.uniform(0, 100, (rows, row_len)).astype(np.float32)
-        assert find_shared_slab(view) is not None
-        return view
-
-    def _engine(self):
-        return ProcessPoolEngine(workers=2, min_rows_per_shard=16,
-                                 min_rows_per_worker=1)
-
-    def test_zero_copy_path_engages_on_arena_slab(self, rng):
-        from repro.core.workspace import ScratchArena
-
-        arena = ScratchArena()
-        try:
-            view = self._slab_batch(rng, arena)
-            expected = np.sort(np.array(view, copy=True), axis=1)
-            result = self._engine().sort_batch(view, SortConfig())
-            assert result.parallel_info["zero_copy_shm"] is True
-            assert result.parallel_info["engine"] == "process"
-            assert np.array_equal(view, expected)
-        finally:
-            arena.close()
-
-    def test_crash_with_slab_in_flight_matches_serial(self, rng, monkeypatch):
-        from repro.core.workspace import ScratchArena
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("worker died mid-shard")
-
-        monkeypatch.setattr(executors_mod, "_sort_shard_shm", boom)
-        arena = ScratchArena()
-        try:
-            view = self._slab_batch(rng, arena)
-            expected = np.sort(np.array(view, copy=True), axis=1)
-            engine = self._engine()
-            result = engine.sort_batch(view, SortConfig())
-            assert engine.fallbacks == 1
-            assert result.parallel_info["fell_back_to_serial"] is True
-            # Serial fallback sorted the slab rows byte-identically to
-            # what the parallel path would have produced.
-            assert view.tobytes() == expected.tobytes()
-        finally:
-            arena.close()
-
-    def test_crash_after_partial_inplace_sort_still_correct(
-        self, rng, monkeypatch
-    ):
-        # The zero-copy hazard: a worker dies *after* sorting some of
-        # the caller's rows in place.  Row-local sorting only permutes
-        # within a row, so the serial fallback over the half-mutated
-        # slab must still produce exactly np.sort of the original.
-        from repro.core.workspace import ScratchArena
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("worker died mid-shard")
-
-        monkeypatch.setattr(executors_mod, "_sort_shard_shm", boom)
-        arena = ScratchArena()
-        try:
-            view = self._slab_batch(rng, arena)
-            expected = np.sort(np.array(view, copy=True), axis=1)
-            view[: view.shape[0] // 2].sort(axis=1)  # simulate the dead
-            # worker's partial progress before the pool failure
-            engine = self._engine()
-            result = engine.sort_batch(view, SortConfig())
-            assert engine.fallbacks == 1
-            assert result.parallel_info["fell_back_to_serial"] is True
-            assert view.tobytes() == expected.tobytes()
-            assert result.batch is view
-        finally:
-            arena.close()

@@ -1,6 +1,10 @@
 """Unit tests for repro.planner (cost model, calibration, planners)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +41,7 @@ def make_planner(**kwargs):
 
 class TestModel:
     def test_predictions_positive_for_every_engine(self):
-        for engine in ("serial", "thread", "process"):
+        for engine in ("serial", "thread", "radix"):
             ms = predict_ms(STUB, engine, *BIG, np.float32, workers=2, shards=2)
             assert ms > 0
 
@@ -45,11 +49,6 @@ class TestModel:
         small = predict_ms(STUB, "serial", 1000, 1000, np.float32)
         big = predict_ms(STUB, "serial", 100_000, 1000, np.float32)
         assert big > small * 10
-
-    def test_process_costs_more_overhead_than_thread(self):
-        t = predict_ms(STUB, "thread", *BIG, np.float32, workers=2, shards=2)
-        p = predict_ms(STUB, "process", *BIG, np.float32, workers=2, shards=2)
-        assert p > t  # staging copies + spawn cost
 
     def test_profile_dict_round_trip(self):
         data = STUB.as_dict()
@@ -66,7 +65,7 @@ class TestModel:
     def test_unknown_engine_error_lists_every_engine(self):
         from repro.planner.model import ENGINE_NAMES
 
-        assert ENGINE_NAMES == ("serial", "thread", "process", "radix")
+        assert ENGINE_NAMES == ("serial", "thread", "radix")
         with pytest.raises(ValueError) as excinfo:
             predict_ms(STUB, "quantum", *BIG, np.float32)
         for engine in ENGINE_NAMES:
@@ -230,7 +229,7 @@ class TestCalibration:
 
 class TestExecutionPlanner:
     def test_small_batch_skips_the_fanout_engines(self):
-        # Below the fan-out guard there is no thread/process candidate,
+        # Below the fan-out guard there is no thread candidate,
         # but radix stays in: it runs in-caller, so sharding economics
         # never apply to it.
         planner = make_planner()
@@ -245,33 +244,36 @@ class TestExecutionPlanner:
     def test_exploration_visits_each_candidate_then_settles(self):
         planner = make_planner()
         seen = []
-        for _ in range(6):
+        for _ in range(5):
             plan = planner.plan(*BIG, np.float32)
             seen.append((plan.engine, plan.source))
             # Feed timings that make "thread" the measured winner.
             planner.observe(plan, 10.0 if plan.engine == "thread" else 100.0)
         engines = [e for e, _ in seen]
-        assert set(engines[:4]) == {"serial", "thread", "process", "radix"}
+        assert set(engines[:3]) == {"serial", "thread", "radix"}
         assert seen[0][1] == "model"  # nothing observed yet
         assert seen[1][1] == "explore"
+        assert seen[3] == ("thread", "observed")
         assert seen[4] == ("thread", "observed")
-        assert seen[5] == ("thread", "observed")
 
     def test_explore_factor_skips_hopeless_candidates(self):
-        # A profile where process spawn cost is enormous relative to the
-        # serial sort pushes "process" past the exploration cutoff.
-        slow_spawn = HostProfile(
-            cpu_count=2, process_spawn_ms=1e6, calibrated=True
+        # A profile where thread-pool construction is enormous relative
+        # to the serial sort pushes "thread" past the exploration cutoff.
+        slow_pool = HostProfile(
+            cpu_count=2, thread_pool_us=1e9, calibrated=True
         )
         planner = ExecutionPlanner(
-            slow_spawn, cache_path=None, explore_factor=2.0
+            slow_pool, cache_path=None, explore_factor=2.0
         )
         engines = set()
         for _ in range(6):
             plan = planner.plan(*BIG, np.float32)
             engines.add(plan.engine)
             planner.observe(plan, 50.0)
-        assert "process" not in engines
+        assert engines == {"serial", "radix"}
+        # "thread" was a candidate, skipped by the cutoff — not absent.
+        candidates = planner._candidates(*BIG, np.float32, SortConfig(), "k")
+        assert "thread" in {c.engine for c in candidates}
 
     def test_ema_tracks_drift(self):
         planner = make_planner(ema_alpha=0.5)
@@ -351,7 +353,6 @@ class TestStaticPlanner:
             ("serial", "serial"),
             ("sharded", "thread"),
             ("thread", "thread"),
-            ("process", "process"),
             ("radix", "radix"),
         ],
     )
@@ -370,6 +371,9 @@ class TestStaticPlanner:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             StaticPlanner("quantum")
+        # The process pool is an explicit executor, never a planner mode.
+        with pytest.raises(ValueError):
+            StaticPlanner("process")
 
     def test_observe_and_save_are_noops(self):
         planner = StaticPlanner("fused")
@@ -403,6 +407,8 @@ class TestResolvePlanner:
     def test_rejects_unknown(self):
         with pytest.raises(ValueError):
             resolve_planner("warp-drive")
+        with pytest.raises(ValueError):
+            resolve_planner("process")
         with pytest.raises(TypeError):
             resolve_planner(42)
 
@@ -479,3 +485,69 @@ class TestSorterIntegration:
 
         with pytest.raises(ValueError):
             ResilientSorter(planner="fused", parallel="thread")
+
+
+# Runs in a fresh interpreter: the resource tracker is process-global,
+# so any earlier test that used shared memory would mask a new start.
+_NO_SHM_CHILD = """
+import json
+from multiprocessing import resource_tracker, shared_memory
+
+import numpy as np
+
+from repro.core import GpuArraySort, SortConfig
+from repro.planner import ExecutionPlanner, HostProfile
+
+opened = []
+_init = shared_memory.SharedMemory.__init__
+
+
+def _spy(self, *args, **kwargs):
+    opened.append(args or kwargs)
+    _init(self, *args, **kwargs)
+
+
+shared_memory.SharedMemory.__init__ = _spy
+
+# No exploration cutoff: every candidate the planner offers gets sorted.
+planner = ExecutionPlanner(
+    HostProfile(cpu_count=2, calibrated=True),
+    cache_path=None, explore_factor=1e12,
+)
+sorter = GpuArraySort(planner=planner)
+batch = np.random.default_rng(0).random((2 * 4096, 16)).astype(np.float32)
+candidates = {
+    c.engine for c in planner._candidates(*batch.shape, batch.dtype,
+                                          SortConfig(), "probe")
+}
+explored = set()
+for _ in range(2 * len(candidates)):
+    result = sorter.sort(batch)
+    assert np.array_equal(result.batch, np.sort(batch, axis=1))
+    explored.add(result.execution_plan.engine)
+sorter.workspace.close()
+print(json.dumps({
+    "candidates": sorted(candidates),
+    "explored": sorted(explored),
+    "shm_opened": len(opened),
+    "tracker_pid": resource_tracker._resource_tracker._pid,
+}))
+"""
+
+
+def test_planned_sorts_use_no_shared_memory():
+    """Exploring every planner candidate above the fan-out guard creates
+    no POSIX shm segment and starts no multiprocessing resource tracker."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SHM_CHILD],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["candidates"] == ["radix", "serial", "thread"]
+    assert report["explored"] == report["candidates"]
+    assert report["shm_opened"] == 0
+    assert report["tracker_pid"] is None
