@@ -69,7 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--planner", choices=["auto", "fused", "sharded", "radix"], default=None,
         help="adaptive per-batch engine planning (vectorized engine only; "
              "mutually exclusive with --workers): 'auto' learns the best "
-             "engine per batch shape, 'fused'/'sharded'/'radix' force one",
+             "engine per batch shape, 'fused'/'sharded'/'radix' force one "
+             "('sharded' is the radix row sort on thread shards; "
+             "--parallel thread shards the fused pipeline)",
     )
 
     p_fig = sub.add_parser("figures", help="print model-reproduced figure series")

@@ -56,6 +56,15 @@ def validate_batch(batch) -> np.ndarray:
     return batch
 
 
+def _nan_rows_error(row_has_nan: np.ndarray) -> ValueError:
+    """The ``nan_policy="raise"`` rejection for a per-row NaN mask."""
+    return ValueError(
+        f"{int(row_has_nan.sum())} of {row_has_nan.shape[0]} rows "
+        "contain NaN; no total order (use "
+        "SortConfig(nan_policy='sort_to_end') to keep them)"
+    )
+
+
 @dataclasses.dataclass
 class SortResult:
     """Everything a sort run produced.
@@ -252,14 +261,19 @@ class GpuArraySort:
         numeric, with at least one column (see :func:`validate_batch`).
 
         NaN handling follows ``config.nan_policy``: ``"raise"`` rejects
-        the batch here at the boundary; ``"sort_to_end"`` sorts
-        NaN-containing rows on a host path with ``np.sort`` semantics
-        (NaNs after every finite value and +inf) while NaN-free rows run
-        the normal pipeline — in that case ``splitters``/``buckets`` on
-        the result describe only the NaN-free rows.  When the planner
-        chooses the ``"radix"`` engine, NaN batches are sorted whole:
-        that engine realizes the same order via its canonical-NaN key
-        mapping, no split needed.
+        the batch; ``"sort_to_end"`` sorts NaN-containing rows on a host
+        path with ``np.sort`` semantics (NaNs after every finite value
+        and +inf) while NaN-free rows run the normal pipeline — in that
+        case ``splitters``/``buckets`` on the result describe only the
+        NaN-free rows.
+
+        When the planner chooses a row-sort engine (``"radix"`` or
+        ``"thread"``, which is radix on row shards), nothing probes the
+        whole batch: that row sort already puts NaN last in every row,
+        so ``"sort_to_end"`` needs no split, and ``"raise"`` checks only
+        the sorted last column — a row holds NaN exactly when its last
+        element is NaN.  Only ``inplace=True`` under ``"raise"`` still
+        probes first, so a rejected batch is never mutated.
         """
         batch = validate_batch(batch)
         if batch.shape[0] == 0:
@@ -287,25 +301,29 @@ class GpuArraySort:
             work = batch.astype(batch.dtype, copy=True)
         reference = batch.copy() if self.verify else None
 
+        is_float = work.dtype.kind == "f"
+        raising = self.config.nan_policy == "raise"
+        row_sort = plan is not None and plan.engine in ("radix", "thread")
+        # A row-sort plan takes NaN-carrying batches whole (NaN keys sort
+        # above +inf) and, unless it would mutate the caller's array,
+        # checks for NaN after the sort instead of probing before it.
+        check_after = is_float and row_sort and raising and not inplace
         nan_mask = None
-        if work.dtype.kind == "f":
+        if is_float and (not row_sort or (raising and inplace)):
             row_has_nan = np.isnan(work).any(axis=1)
             if row_has_nan.any():
-                if self.config.nan_policy == "raise":
-                    raise ValueError(
-                        f"{int(row_has_nan.sum())} of {work.shape[0]} rows "
-                        "contain NaN; no total order (use "
-                        "SortConfig(nan_policy='sort_to_end') to keep them)"
-                    )
+                if raising:
+                    raise _nan_rows_error(row_has_nan)
                 nan_mask = row_has_nan
 
-        if nan_mask is not None and not (plan is not None and plan.engine == "radix"):
+        if nan_mask is not None:
             result = self._sort_with_nan_rows(work, nan_mask)
         else:
-            # A radix plan takes NaN-carrying batches whole: the engine
-            # realizes sort_to_end in key space (canonical-NaN keys sort
-            # above +inf), so no split/post-pass is needed.
             result = self._dispatch(work, plan=plan)
+        if check_after:
+            row_has_nan = np.isnan(work[:, -1])
+            if row_has_nan.any():
+                raise _nan_rows_error(row_has_nan)
 
         result.scratch = scratch
         if self.verify:
@@ -450,8 +468,9 @@ class GpuArraySort:
     def _sort_planned(self, work: np.ndarray, plan) -> SortResult:
         """Execute one :class:`~repro.planner.ExecutionPlan` and report back.
 
-        Serial plans run the regular (arena-backed) fused path; sharded
-        plans run the planner's cached executor instance.  Either way
+        Serial plans run the regular (arena-backed) fused path, radix
+        plans the flat row sort; thread plans run the planner's cached
+        executor instance (sharded radix).  Either way
         the measured wall time feeds ``planner.observe`` so the next
         same-shape batch dispatches on evidence, not prediction.
         """
@@ -477,9 +496,9 @@ class GpuArraySort:
         sorted through :func:`repro.core.radix.radix_sort_rows`, which
         honors ``nan_policy="sort_to_end"`` via the canonical-NaN key
         mapping.  ``splitters``/``buckets`` are ``None`` on the result:
-        this engine never forms buckets.  NaN-freeness under
-        ``nan_policy="raise"`` was already enforced at the ``sort()``
-        boundary, so the engine skips its own probe.
+        this engine never forms buckets.  ``nan_policy="raise"`` is
+        enforced by ``sort()`` around this call, so the engine skips its
+        own probe.
         """
         from .radix import radix_sort_rows  # local: keeps import cheap
 

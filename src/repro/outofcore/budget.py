@@ -54,17 +54,18 @@ SAFETY_FACTOR = 1.25
 #: Extra full-payload copies each execution engine needs beyond the
 #: staging + work pair every path pays:
 #:
-#: * ``serial`` / ``thread`` — the fused row sort works in place and
-#:   thread shards share the caller's storage: no extra copy;
+#: * ``serial`` — the fused row sort works in place: no extra copy;
 #: * ``radix`` — the LSD path double-buffers the sortable-key space
 #:   (two more payloads in the worst ``strategy="lsd"`` case);
+#: * ``thread`` — every shard runs the radix row sort, so it budgets
+#:   what ``radix`` does;
 #: * ``auto`` — the planner may pick any engine per chunk, so the plan
 #:   budgets for the worst case among them.
 ENGINE_EXTRA_COPIES = {
     "serial": 0.0,
-    "thread": 0.0,
     "radix": 2.0,
 }
+ENGINE_EXTRA_COPIES["thread"] = ENGINE_EXTRA_COPIES["radix"]
 
 _SIZE_RE = re.compile(
     r"^\s*(?P<num>\d+(?:\.\d+)?)\s*(?P<unit>[kmgt]?i?b?)\s*$",

@@ -6,7 +6,9 @@ to host cores: the ``(N, n)`` batch is split into row shards
 (:mod:`~repro.parallel.plan`), each shard runs the complete three-phase
 pipeline independently, and the results are reassembled in order
 (:mod:`~repro.parallel.executors`).  Because every phase is per-row, the
-output is byte-identical for any worker count.
+output is byte-identical for any worker count.  The adaptive planner's
+``"thread"`` engine uses the same executor with the radix row sort
+(:func:`~repro.parallel.executors.radix_rows_inplace`) per shard.
 
 Entry points:
 
@@ -25,6 +27,7 @@ from .executors import (
     SerialEngine,
     ThreadPoolEngine,
     attach_shm_view,
+    radix_rows_inplace,
     resolve_executor,
     sort_rows_inplace,
 )
@@ -38,6 +41,7 @@ __all__ = [
     "ThreadPoolEngine",
     "attach_shm_view",
     "plan_shards",
+    "radix_rows_inplace",
     "resolve_executor",
     "sort_rows_inplace",
 ]

@@ -1,9 +1,20 @@
-"""Sharded executors: run the vectorized pipeline on row shards in parallel.
+"""Sharded executors: run a per-shard row sort on row shards in parallel.
 
 Three engines share one contract — ``sort_batch(work, config)`` sorts the
 ``(N, n)`` matrix **in place** and returns a
-:class:`~repro.core.array_sort.SortResult` whose ``buckets`` carry the
-reassembled per-row ``sizes``/``offsets``:
+:class:`~repro.core.array_sort.SortResult`.  What each shard runs is the
+engine's ``row_sort`` callable:
+
+* :func:`sort_rows_inplace` (the default) — the full vectorized
+  pipeline; the result's ``buckets`` carry the reassembled per-row
+  ``sizes``/``offsets``.  This is what ``parallel="thread"`` /
+  ``"process"`` run.
+* :func:`radix_rows_inplace` — the flat radix row sort
+  (:func:`repro.core.radix.radix_sort_rows`); no bucket metadata, so
+  the result has ``buckets=None``.  This is the adaptive planner's
+  ``"thread"`` engine: sharded radix.
+
+The executors:
 
 * :class:`SerialEngine` — the identity executor: one shard, current
   process.  Exists so the sharded code path itself is exercised serially
@@ -22,14 +33,15 @@ reassembled per-row ``sizes``/``offsets``:
   so the engine degrades instead of corrupting (the shared staging
   buffer is discarded wholesale on fallback).
 
-Because every phase of GPU-ArraySort is per-row (see
-:mod:`repro.parallel.plan`), all three engines produce byte-identical
-batches and identical metadata for any worker count — pinned by
-``tests/test_parallel_executors.py``.
+Because both row sorts are per-row (see :mod:`repro.parallel.plan`),
+all three engines produce byte-identical batches and identical metadata
+for any worker count — pinned by ``tests/test_parallel_executors.py``.
 
-Shard results are reassembled in shard order regardless of completion
-order; per-shard phase-1 diagnostics (``samples_sorted``) are not
-retained, so a parallel :class:`SortResult` has ``splitters=None``.
+Shard results are reassembled in shard order; per-shard phase-1
+diagnostics (``samples_sorted``) are not retained, so a parallel
+:class:`SortResult` has ``splitters=None``.  The thread pool lives only
+for the duration of one ``sort_batch`` call: no pool thread outlives a
+sort, so a process may fork safely between sorts.
 """
 
 from __future__ import annotations
@@ -37,7 +49,7 @@ from __future__ import annotations
 import concurrent.futures
 import os
 import time
-from typing import List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -58,9 +70,16 @@ __all__ = [
     "ThreadPoolEngine",
     "ProcessPoolEngine",
     "attach_shm_view",
+    "radix_rows_inplace",
     "resolve_executor",
     "sort_rows_inplace",
 ]
+
+#: Per-shard unit of work: sorts the rows of a view in place and returns
+#: the shard's ``(sizes, offsets)`` bucket metadata, or ``None`` when the
+#: row sort forms no buckets.  Must be a module-level function for the
+#: process pool (picklable by reference).
+RowSort = Callable[[np.ndarray, SortConfig], Optional[Tuple[np.ndarray, np.ndarray]]]
 
 
 def attach_shm_view(
@@ -97,10 +116,8 @@ def sort_rows_inplace(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Run the full vectorized pipeline on ``view`` rows, in place.
 
-    The per-shard unit of work shared by every executor (and by the
-    process-pool workers, which is why it is a module-level function:
-    it must be picklable by reference).  Honors ``config.fuse_phases``.
-    Returns the shard's ``(sizes, offsets)``.
+    The executors' default :data:`RowSort`.  Honors
+    ``config.fuse_phases``.  Returns the shard's ``(sizes, offsets)``.
     """
     spl = select_splitters(view, config)
     if config.fuse_phases:
@@ -113,6 +130,19 @@ def sort_rows_inplace(
     return res.sizes, res.offsets
 
 
+def radix_rows_inplace(view: np.ndarray, config: SortConfig) -> None:
+    """Sort ``view`` rows in place with the flat radix row sort.
+
+    The :data:`RowSort` of the planner's ``"thread"`` engine.  NaN goes
+    last in every row (the radix key mapping), whatever
+    ``config.nan_policy`` says: the sorter boundary enforces ``"raise"``.
+    Forms no buckets, so returns ``None``.
+    """
+    from ..core.radix import radix_sort_rows  # local: keeps import cheap
+
+    radix_sort_rows(view, nan_policy="sort_to_end")
+
+
 def _sort_shard_shm(
     shm_name: str,
     shape: Tuple[int, int],
@@ -120,7 +150,8 @@ def _sort_shard_shm(
     start: int,
     stop: int,
     config: SortConfig,
-) -> Tuple[int, np.ndarray, np.ndarray]:
+    row_sort: RowSort,
+):
     """Process-pool worker: attach the staging block, sort rows [start, stop).
 
     The shard is a zero-copy view into the engine's shared staging
@@ -129,15 +160,14 @@ def _sort_shard_shm(
     """
     shm, buf = attach_shm_view(shm_name, shape, dtype_str)
     try:
-        sizes, offsets = sort_rows_inplace(buf[start:stop], config)
-        return start, sizes, offsets
+        return row_sort(buf[start:stop], config)
     finally:
         shm.close()
 
 
 def _assemble(
     work: np.ndarray,
-    pieces: List[Tuple[int, np.ndarray, np.ndarray]],
+    pieces: list,
     elapsed: float,
     *,
     engine_name: str,
@@ -145,11 +175,14 @@ def _assemble(
     workers: int,
     fell_back: bool = False,
 ) -> SortResult:
-    """Ordered reassembly of shard metadata into one SortResult."""
-    pieces.sort(key=lambda item: item[0])
-    sizes = np.vstack([p[1] for p in pieces])
-    offsets = np.vstack([p[2] for p in pieces])
-    buckets = BucketResult(bucketed=work, sizes=sizes, offsets=offsets)
+    """Reassembly of per-shard metadata (in shard order) into one SortResult."""
+    buckets = None
+    if pieces[0] is not None:
+        buckets = BucketResult(
+            bucketed=work,
+            sizes=np.vstack([p[0] for p in pieces]),
+            offsets=np.vstack([p[1] for p in pieces]),
+        )
     result = SortResult(
         batch=work,
         buckets=buckets,
@@ -177,6 +210,7 @@ class _ShardedEngineBase:
         *,
         min_rows_per_shard: int = DEFAULT_MIN_ROWS_PER_SHARD,
         min_rows_per_worker: int = DEFAULT_MIN_ROWS_PER_WORKER,
+        row_sort: RowSort = sort_rows_inplace,
     ) -> None:
         self.workers = int(workers) if workers is not None else default_workers()
         if self.workers < 1:
@@ -185,6 +219,8 @@ class _ShardedEngineBase:
         #: Fan-out guard: batches below this many rows per worker run as a
         #: single shard (see :data:`repro.parallel.plan.DEFAULT_MIN_ROWS_PER_WORKER`).
         self.min_rows_per_worker = int(min_rows_per_worker)
+        #: What every shard runs (see :data:`RowSort`).
+        self.row_sort = row_sort
         #: Times this engine degraded to the serial path (crash fallback).
         self.fallbacks = 0
 
@@ -199,9 +235,8 @@ class _ShardedEngineBase:
 
     def _sort_serial(self, work: np.ndarray, config: SortConfig, t0: float,
                      *, fell_back: bool = False) -> SortResult:
-        sizes, offsets = sort_rows_inplace(work, config)
         return _assemble(
-            work, [(0, sizes, offsets)], time.perf_counter() - t0,
+            work, [self.row_sort(work, config)], time.perf_counter() - t0,
             engine_name=self.name, shards=1, workers=1, fell_back=fell_back,
         )
 
@@ -223,9 +258,11 @@ class ThreadPoolEngine(_ShardedEngineBase):
     """Threaded shards over zero-copy row views of the caller's array.
 
     NumPy's sorting kernels drop the GIL, so disjoint row views sort
-    concurrently with no staging copies at all.  The right default for
-    in-process use; also the cheapest way to overlap shards under a
-    streaming session's push cadence.
+    concurrently with no staging copies at all.  ``parallel="thread"``
+    runs the fused pipeline per shard; the adaptive planner's
+    ``"thread"`` engine is this class with
+    ``row_sort=radix_rows_inplace`` (sharded radix).  The pool is built
+    and joined inside each ``sort_batch`` call.
     """
 
     name = "thread"
@@ -236,20 +273,14 @@ class ThreadPoolEngine(_ShardedEngineBase):
         plan = self.plan(work.shape[0])
         if len(plan) <= 1:
             return self._sort_serial(work, config, t0)
-        pieces: List[Tuple[int, np.ndarray, np.ndarray]] = []
         with concurrent.futures.ThreadPoolExecutor(
             max_workers=len(plan)
         ) as pool:
-            futures = {
-                pool.submit(
-                    sort_rows_inplace, work[shard.start:shard.stop], config
-                ): shard
+            futures = [
+                pool.submit(self.row_sort, work[shard.start:shard.stop], config)
                 for shard in plan
-            }
-            for future in concurrent.futures.as_completed(futures):
-                shard = futures[future]
-                sizes, offsets = future.result()
-                pieces.append((shard.start, sizes, offsets))
+            ]
+            pieces = [future.result() for future in futures]
         return _assemble(
             work, pieces, time.perf_counter() - t0,
             engine_name=self.name, shards=len(plan), workers=self.workers,
@@ -300,7 +331,6 @@ class ProcessPoolEngine(_ShardedEngineBase):
         try:
             staged = np.ndarray(work.shape, dtype=work.dtype, buffer=shm.buf)
             staged[:] = work
-            pieces: List[Tuple[int, np.ndarray, np.ndarray]] = []
             with concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(self.workers, len(plan))
             ) as pool:
@@ -313,11 +343,11 @@ class ProcessPoolEngine(_ShardedEngineBase):
                         shard.start,
                         shard.stop,
                         config,
+                        self.row_sort,
                     )
                     for shard in plan
                 ]
-                for future in concurrent.futures.as_completed(futures):
-                    pieces.append(future.result())
+                pieces = [future.result() for future in futures]
             # All shards verified done: commit the sorted staging buffer.
             work[:] = staged
         finally:

@@ -55,8 +55,11 @@ CACHE_ENV = "REPRO_PLANNER_CACHE"
 #: Schema tag written into the cache file.  v2: the host fingerprint
 #: gained the engine set, so a v1 cache (calibrated before the radix
 #: engine existed, hence without ``radix_pass_ns``) reads as a miss and
-#: is recalibrated instead of silently reused.
-CACHE_SCHEMA = "repro-planner-cache/v2"
+#: is recalibrated instead of silently reused.  v3: the ``thread`` engine
+#: became sharded radix; a v2 cache's ``thread`` EMAs timed the slower
+#: sharded fused pipeline and would keep the new engine from ever being
+#: explored, so they read as a miss too.
+CACHE_SCHEMA = "repro-planner-cache/v3"
 
 
 def default_cache_path() -> Path:

@@ -16,14 +16,16 @@ Terms priced per candidate:
 
 * ``serial``  — work copy + phase 1 (sample gather/sort/pick) + fused
   in-place row sort + metadata recovery (batched binary search);
-* ``thread``  — serial work divided by the measured effective
-  parallelism, plus pool construction and per-shard dispatch;
 * ``radix``   — work copy + flat row sort with *no* phase-1 or metadata
   terms (the non-comparison engine, :mod:`repro.core.radix`), priced as
   the cheaper of the compiled in-place sort (``N·n·log n`` comparisons)
   and the LSD digit passes (``passes × N·n`` linear traffic — the
   paper's STA-style radix cost).  On a NumPy host the compiled sort
-  wins; a device backend would flip the min.
+  wins; a device backend would flip the min;
+* ``thread``  — sharded radix: the ``radix`` term divided by the
+  measured effective parallelism, plus pool construction and per-shard
+  dispatch.  (``parallel="thread"``, which shards the fused pipeline,
+  is not a planner engine and is not priced here.)
 
 The engine list is :data:`ENGINE_NAMES` — every branch and error
 message derives from it, so adding an engine cannot leave a stale
@@ -46,7 +48,8 @@ from ..core.config import DEFAULT_CONFIG, SortConfig
 __all__ = ["HostProfile", "DEFAULT_PROFILE", "predict_ms", "ENGINE_NAMES"]
 
 #: Engines the planner may choose between.  All run in the caller's
-#: process and sort the batch in its own memory.
+#: process and sort the batch in its own memory; ``thread`` is the
+#: ``radix`` row sort run on row shards across a thread pool.
 ENGINE_NAMES = ("serial", "thread", "radix")
 
 
@@ -178,15 +181,15 @@ def predict_ms(
     dtype = np.dtype(dtype)
     if num_rows <= 0:
         return 0.0
-    if engine == "radix":
-        return _radix_ms(profile, num_rows, row_len, dtype)
-    serial = _serial_ms(profile, num_rows, row_len, dtype, config)
     if engine == "serial":
-        return serial
+        return _serial_ms(profile, num_rows, row_len, dtype, config)
+    radix = _radix_ms(profile, num_rows, row_len, dtype)
+    if engine == "radix":
+        return radix
     pool_ms = profile.thread_pool_us / 1e3
     if shards <= 1 or workers <= 1:
-        return serial + pool_ms
+        return radix + pool_ms
 
     concurrency = min(workers, shards, max(1, profile.cpu_count))
     speedup = max(1.0, concurrency * profile.thread_efficiency)
-    return serial / speedup + pool_ms + shards * profile.thread_task_us / 1e3
+    return radix / speedup + pool_ms + shards * profile.thread_task_us / 1e3

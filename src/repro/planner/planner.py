@@ -8,10 +8,12 @@ sampling/partition parameters per input shape, the planner chooses the
 
 1.  **Model seed** — a calibrated host cost model
     (:mod:`repro.planner.model`) prices each candidate (serial-fused,
-    thread-sharded, flat-radix — see
+    flat-radix, and radix sharded across threads — see
     :data:`~repro.planner.model.ENGINE_NAMES`) for the batch's
     ``(N, n, dtype)``.  Every candidate runs in-process and sorts the
     batch in the caller's memory, as GPU-ArraySort sorts in place.
+    The sharded candidate is offered only for radix-supported dtypes and
+    only above the fan-out guard.
 2.  **Guarded exploration** — candidates are tried once each, cheapest
     predicted first, skipping any predicted worse than
     ``explore_factor``× the best (no point timing a plan the model says
@@ -66,8 +68,9 @@ class ExecutionPlan:
     """One dispatch decision: how to sort the next batch."""
 
     #: One of :data:`~repro.planner.model.ENGINE_NAMES`: ``"serial"``
-    #: (fused vectorized path), ``"thread"``, or ``"radix"`` (flat
-    #: non-comparison row sort, no bucket metadata).
+    #: (fused vectorized path), ``"radix"`` (flat non-comparison row
+    #: sort, no bucket metadata), or ``"thread"`` (that radix row sort
+    #: on row shards across a thread pool).
     engine: str
     #: Worker count for the sharded engines (1 for serial).
     workers: int = 1
@@ -119,20 +122,24 @@ class _PlannerBase:
 
         ``None`` for serial and radix plans — both run inside the
         caller (serial keeps full phase-1 diagnostics; radix is the
-        sorter's own flat row-sort path).  Thread engines are
-        constructed once per (workers, fan-out guard) and reused, so the
-        planner adds no per-batch object churn.
+        sorter's own flat row-sort path).  A thread plan gets a
+        :class:`~repro.parallel.executors.ThreadPoolEngine` whose shards
+        run the radix row sort (sharded radix, not the fused pipeline
+        ``parallel="thread"`` shards).  Thread engines are constructed
+        once per (workers, fan-out guard) and reused, so the planner
+        adds no per-batch object churn.
         """
         if plan.engine in ("serial", "radix"):
             return None
         key = (plan.workers, plan.min_rows_per_worker)
         engine = self._engines.get(key)
         if engine is None:
-            from ..parallel.executors import ThreadPoolEngine
+            from ..parallel.executors import ThreadPoolEngine, radix_rows_inplace
 
             engine = ThreadPoolEngine(
                 workers=plan.workers,
                 min_rows_per_worker=plan.min_rows_per_worker,
+                row_sort=radix_rows_inplace,
             )
             self._engines[key] = engine
         return engine
@@ -247,18 +254,21 @@ class ExecutionPlanner(_PlannerBase):
                 min_rows_per_worker=self.min_rows_per_worker,
             )
         ]
-        if _radix_supports_dtype(dtype):
-            plans.append(
-                ExecutionPlan(
-                    engine="radix",
-                    workers=1,
-                    predicted_ms=predict_ms(
-                        profile, "radix", num_rows, row_len, dtype, config=config
-                    ),
-                    shape_key=key,
-                    min_rows_per_worker=self.min_rows_per_worker,
-                )
+        if not _radix_supports_dtype(dtype):
+            return plans
+        plans.append(
+            ExecutionPlan(
+                engine="radix",
+                workers=1,
+                predicted_ms=predict_ms(
+                    profile, "radix", num_rows, row_len, dtype, config=config
+                ),
+                shape_key=key,
+                min_rows_per_worker=self.min_rows_per_worker,
             )
+        )
+        # Sharded radix: same row sort, so same dtype support; offered
+        # only when the fan-out guard yields more than one shard.
         workers = max(2, profile.cpu_count)
         shards = len(
             plan_shards(
@@ -359,9 +369,12 @@ class StaticPlanner(_PlannerBase):
     """Planner that always returns the same engine — the escape hatch.
 
     Realizes ``GpuArraySort(planner="fused")`` (always the serial fused
-    path), ``planner="sharded"`` (always the thread engine; its shard
+    path), ``planner="sharded"`` (always the thread engine: the radix
+    row sort on row shards, so radix-supported dtypes only; its shard
     planning still collapses to one shard below the fan-out threshold),
     and ``planner="radix"`` (always the flat non-comparison row sort).
+    ``parallel="thread"`` — not a planner — is the way to shard the
+    fused pipeline.
     ``MODES`` covers every engine in
     :data:`~repro.planner.model.ENGINE_NAMES` plus the historical
     aliases, and the error message is derived from it — adding an

@@ -60,12 +60,12 @@ class TestWorkingSetModel:
         assert costs[0] > 0
 
     def test_engine_ordering(self):
-        """serial/thread < radix <= auto (worst case)."""
+        """serial < radix == thread <= auto (worst case)."""
         per = {engine: working_set_bytes_per_row(1000, np.float64,
                                                  engine=engine)
                for engine in ENGINE_EXTRA_COPIES}
         per["auto"] = working_set_bytes_per_row(1000, np.float64)
-        assert per["serial"] == per["thread"]
+        assert per["thread"] == per["radix"]
         assert per["serial"] < per["radix"]
         assert per["auto"] == max(per.values())
 
@@ -75,6 +75,8 @@ class TestWorkingSetModel:
         # file under 32M keeps its 51-chunk schedule.
         assert set(ENGINE_EXTRA_COPIES) == {"serial", "thread", "radix"}
         assert ENGINE_EXTRA_COPIES["radix"] == 2.0
+        # The planner's thread engine is sharded radix: same extras.
+        assert ENGINE_EXTRA_COPIES["thread"] == ENGINE_EXTRA_COPIES["radix"]
         assert working_set_bytes_per_row(1000, np.float64) == \
             working_set_bytes_per_row(1000, np.float64, engine="radix")
         plan = plan_budget(40_000, 1000, np.float64, "32M")

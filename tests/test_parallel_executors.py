@@ -142,6 +142,8 @@ class TestEngines:
         assert result.parallel_info["shards"] == 3
         assert not result.parallel_info["fell_back_to_serial"]
         assert np.array_equal(result.batch, np.sort(batch, axis=1))
+        # parallel="thread" shards the fused pipeline: metadata per row.
+        assert result.buckets.offsets.shape[0] == batch.shape[0]
 
     def test_process_engine_round_trip(self, rng):
         batch = self._batch(rng)

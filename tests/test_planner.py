@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import GpuArraySort, SortConfig
+from repro.parallel import radix_rows_inplace
 from repro.planner import (
     CACHE_SCHEMA,
     ExecutionPlan,
@@ -61,6 +62,18 @@ class TestModel:
         f64 = predict_ms(STUB, "radix", *BIG, np.float64)
         assert f32 > 0
         assert f64 > f32  # wider keys: more passes and more bytes copied
+
+    def test_thread_is_radix_divided_by_the_thread_speedup(self):
+        # STUB: 2 cores at 0.75 efficiency -> a 1.5x speedup on 2 shards.
+        radix = predict_ms(STUB, "radix", *BIG, np.float32)
+        thread = predict_ms(STUB, "thread", *BIG, np.float32,
+                            workers=2, shards=2)
+        overhead = (STUB.thread_pool_us + 2 * STUB.thread_task_us) / 1e3
+        assert thread == pytest.approx(radix / 1.5 + overhead)
+        assert thread < radix
+        one_shard = predict_ms(STUB, "thread", *BIG, np.float32,
+                               workers=2, shards=1)
+        assert one_shard == pytest.approx(radix + STUB.thread_pool_us / 1e3)
 
     def test_unknown_engine_error_lists_every_engine(self):
         from repro.planner.model import ENGINE_NAMES
@@ -162,6 +175,23 @@ class TestCalibration:
             if not part.startswith("engines=")
         )
         path.write_text(json.dumps(engineless))
+        assert load_profile(path) == (None, {})
+
+    def test_v2_cache_with_fused_thread_timings_is_a_miss(self, tmp_path):
+        """A v2 cache's ``thread`` EMAs timed the sharded fused pipeline,
+        several times slower than the sharded radix the engine now runs;
+        trusted, they would pin ``radix`` and the new engine would never
+        be explored.  Same host, same engine set: only the schema tag
+        tells them apart, and it must."""
+        path = tmp_path / "planner.json"
+        stale = {"<f4|N17|n10": {"thread": {"ema_ms": 1500.0, "count": 40},
+                                 "radix": {"ema_ms": 400.0, "count": 40}}}
+        save_profile(STUB, stale, path)
+        data = json.loads(path.read_text())
+        assert data["fingerprint"] == host_fingerprint()
+        data["schema"] = "repro-planner-cache/v2"
+        path.write_text(json.dumps(data))
+        assert CACHE_SCHEMA == "repro-planner-cache/v3"
         assert load_profile(path) == (None, {})
 
     def test_fingerprint_names_every_engine(self):
@@ -309,14 +339,16 @@ class TestExecutionPlanner:
         assert planner.executor_for(serial) is None
         sharded = ExecutionPlan(engine="thread", workers=2)
         engine = planner.executor_for(sharded)
-        assert engine is not None
+        assert engine.row_sort is radix_rows_inplace  # sharded radix
         assert planner.executor_for(sharded) is engine  # no per-batch churn
 
     def test_executor_for_radix_is_none(self):
         # Radix runs in-caller like serial: no executor, no shards.
         assert make_planner().executor_for(ExecutionPlan(engine="radix")) is None
 
-    def test_radix_candidate_requires_a_supported_dtype(self):
+    def test_row_sort_candidates_require_a_supported_dtype(self):
+        # Above the fan-out guard: thread is sharded radix, so it needs
+        # a radix dtype too.
         planner = make_planner()
         engines_f32 = set()
         engines_obj = set()
@@ -327,8 +359,8 @@ class TestExecutionPlanner:
             plan = planner.plan(*BIG, np.dtype("datetime64[ns]"))
             engines_obj.add(plan.engine)
             planner.observe(plan, 50.0)
-        assert "radix" in engines_f32
-        assert "radix" not in engines_obj
+        assert engines_f32 == {"serial", "radix", "thread"}
+        assert engines_obj == {"serial"}
 
     def test_plan_counts_track_selections_per_shape(self):
         planner = make_planner()
